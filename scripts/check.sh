@@ -253,6 +253,14 @@ if [[ "$RUN_BENCH_SMOKE" == 1 ]]; then
 
   if compgen -G "bench/baselines/BENCH_*.json" >/dev/null; then
     echo "-- bench trajectory vs bench/baselines/"
+    # Fail closed: bench_compare only notes a baseline with no current
+    # point, so a bench that stopped writing one would go ungated.
+    for baseline in bench/baselines/BENCH_*.json; do
+      test -s "$BENCH_OUT/$(basename "$baseline")" || {
+        echo "FAIL: missing trajectory point $(basename "$baseline")" >&2
+        exit 1
+      }
+    done
     python3 scripts/bench_compare.py bench/baselines "$BENCH_OUT"
   else
     echo "-- no bench/baselines/ yet; skipping trajectory gate"

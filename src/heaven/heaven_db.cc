@@ -71,6 +71,36 @@ class ScopedMutator {
  private:
   std::atomic<int>* counter_;
 };
+
+/// Catalog update moving `tile` of `object_id` to `location`: disk blob
+/// `blob_id` or super-tile `super_tile`.
+CatalogDelta TileMove(ObjectId object_id, TileDescriptor tile,
+                      TileLocation location, BlobId blob_id,
+                      SuperTileId super_tile) {
+  CatalogDelta update;
+  update.op = CatalogOp::kUpdateTileLocation;
+  update.object_id = object_id;
+  update.tile = std::move(tile);
+  update.tile.location = location;
+  update.tile.blob_id = blob_id;
+  update.tile.super_tile = super_tile;
+  return update;
+}
+
+/// The tile `descriptor` names, inside its already fetched super-tile.
+Result<const Tile*> FetchedTile(
+    const std::map<SuperTileId, std::shared_ptr<const SuperTile>>& supertiles,
+    const TileDescriptor& descriptor) {
+  const auto it = supertiles.find(descriptor.super_tile);
+  if (it == supertiles.end()) {
+    return Status::Internal("super-tile " +
+                            std::to_string(descriptor.super_tile) +
+                            " required by tile " +
+                            std::to_string(descriptor.tile_id) +
+                            " was not fetched");
+  }
+  return it->second->FindTile(descriptor.tile_id);
+}
 }  // namespace
 
 HeavenDb::HeavenDb(Env* env, std::string dir, HeavenOptions options)
@@ -464,14 +494,10 @@ Status HeavenDb::PersistCurvesLocked(Transaction* txn) {
 }
 
 Status HeavenDb::PersistRegistry() {
-  CatalogDelta delta;
-  delta.op = CatalogOp::kSetSection;
-  delta.name = kRegistrySection;
-  delta.payload = SerializeRegistryLocked();
-  return engine_->ApplyCatalogAtomic(delta);
+  return engine_->ApplyCatalogAtomic(RegistrySectionLocked());
 }
 
-std::string HeavenDb::SerializeRegistryLocked() const {
+CatalogDelta HeavenDb::RegistrySectionLocked() const {
   // Entries sorted by id: the COW shards iterate shard-major, but the
   // persisted section must keep the exact byte image the id-ordered
   // std::map registry used to produce.
@@ -483,7 +509,11 @@ std::string HeavenDb::SerializeRegistryLocked() const {
             [](const SuperTileMeta& a, const SuperTileMeta& b) {
               return a.id < b.id;
             });
-  return SerializeSuperTileMetas(metas);
+  CatalogDelta delta;
+  delta.op = CatalogOp::kSetSection;
+  delta.name = kRegistrySection;
+  delta.payload = SerializeSuperTileMetas(metas);
+  return delta;
 }
 
 void HeavenDb::PublishSnapshot(const std::vector<ObjectId>& touched) {
@@ -749,8 +779,7 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
     // snapshot is identical to the live state.
     const DbSnapshotPtr snap = AcquireReadSnapshot();
     HEAVEN_ASSIGN_OR_RETURN(MddArray full,
-                            ReadRegionAtSnapshot(*snap, QueryContext(),
-                                                 object_id, object.domain));
+                            ReadOne(*snap, QueryContext(), {object_id}));
     HEAVEN_ASSIGN_OR_RETURN(MddArray overview,
                             ScaleDown(full, options_.overview_scale_factor));
     HEAVEN_RETURN_IF_ERROR(InsertObject(object.collection_id,
@@ -836,11 +865,7 @@ Status HeavenDb::ExportObjectLocked(ObjectId object_id,
   }
 
   // Persist the registry in the same transaction as the tile moves.
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
+  txn->UpdateCatalog(RegistrySectionLocked());
 
   return txn->Commit();
 }
@@ -899,14 +924,8 @@ Status HeavenDb::AppendAndRegister(
   for (TileId tile_id : group.tiles) {
     const TileDescriptor* descriptor = by_id.at(tile_id);
     txn->DeleteBlob(descriptor->blob_id);
-    CatalogDelta update;
-    update.op = CatalogOp::kUpdateTileLocation;
-    update.object_id = object_id;
-    update.tile = *descriptor;
-    update.tile.location = TileLocation::kTertiary;
-    update.tile.blob_id = 0;
-    update.tile.super_tile = meta.id;
-    txn->UpdateCatalog(update);
+    txn->UpdateCatalog(
+        TileMove(object_id, *descriptor, TileLocation::kTertiary, 0, meta.id));
   }
   return Status::Ok();
 }
@@ -960,23 +979,13 @@ Status HeavenDb::ExportObjectTileAtATime(ObjectId object_id) {
     new_metas.push_back(meta);
 
     txn->DeleteBlob(descriptor.blob_id);
-    CatalogDelta update;
-    update.op = CatalogOp::kUpdateTileLocation;
-    update.object_id = object_id;
-    update.tile = descriptor;
-    update.tile.location = TileLocation::kTertiary;
-    update.tile.blob_id = 0;
-    update.tile.super_tile = meta.id;
-    txn->UpdateCatalog(update);
+    txn->UpdateCatalog(
+        TileMove(object_id, descriptor, TileLocation::kTertiary, 0, meta.id));
   }
   for (const SuperTileMeta& meta : new_metas) {
     registry_.InsertOrAssign(meta.id, meta);
   }
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
+  txn->UpdateCatalog(RegistrySectionLocked());
   Status status = txn->Commit();
   if (!status.ok()) {
     for (const SuperTileMeta& meta : new_metas) registry_.Erase(meta.id);
@@ -1130,10 +1139,10 @@ auto HeavenDb::ReadWithSnapshotRetry(Fn&& fn)
   }
 }
 
-Status HeavenDb::FetchSuperTiles(
-    const DbSnapshot& snap, const QueryContext& ctx,
-    const std::vector<SuperTileId>& ids,
-    std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out) {
+Status HeavenDb::FetchSuperTiles(const DbSnapshot& snap,
+                                 const QueryContext& ctx,
+                                 const std::vector<SuperTileId>& ids,
+                                 SuperTiles* out) {
   std::vector<SuperTileRequest> requests;
   // Fetches this call leads (its promises to fulfil) and fetches led by a
   // concurrent call that we piggyback on (their futures to await).
@@ -1169,7 +1178,7 @@ Status HeavenDb::FetchSuperTiles(
         fetch_lock.Unlock();
         Status status = Status::NotFound("super-tile " + std::to_string(id) +
                                          " not registered");
-        FailOwnedFetches(&owned, status);
+        SettleOwnedFetches(&owned, status);
         return status;
       }
       if (controller_ != nullptr && BrownoutActive()) {
@@ -1181,7 +1190,7 @@ Status HeavenDb::FetchSuperTiles(
         Status status = Status::ResourceExhausted(
             "brownout: super-tile " + std::to_string(id) +
             " is not cached and tape fetches are suspended");
-        FailOwnedFetches(&owned, status);
+        SettleOwnedFetches(&owned, status);
         return status;
       }
       auto flight = std::make_shared<InflightFetch>();
@@ -1216,7 +1225,7 @@ Status HeavenDb::FetchSuperTiles(
             "pre-admission: plan needs an estimated " +
             std::to_string(estimate_s) + "s of tape time but only " +
             std::to_string(remaining_s) + "s of the deadline remain");
-        FailOwnedFetches(&owned, status);
+        SettleOwnedFetches(&owned, status);
         return status;
       }
     }
@@ -1229,7 +1238,7 @@ Status HeavenDb::FetchSuperTiles(
       Result<AdmissionController::InflightGrant> acquired =
           controller_->AcquireInflight(batch_bytes, requests.size());
       if (!acquired.ok()) {
-        FailOwnedFetches(&owned, acquired.status());
+        SettleOwnedFetches(&owned, acquired.status());
         return acquired.status();
       }
       grant = std::move(acquired).value();
@@ -1238,20 +1247,22 @@ Status HeavenDb::FetchSuperTiles(
     MediumId last_medium = requests.back().medium;
     uint64_t last_end = requests.back().offset + requests.back().size_bytes;
 
-    // Decode + cache admission (DecodeAndAdmit) of one transferred
-    // container. With a pool it runs on a worker while the drive transfers
-    // the next container (the transfer loop below stays serial in schedule
-    // order, so the tape clock and seek pattern are untouched); without
-    // one it runs inline, reproducing the legacy sequence exactly.
+    // Transfers run serially in schedule order, so the tape clock and
+    // seek pattern are the schedule's. With a pool, decoding a container
+    // runs on a worker while the drive transfers the next one. Cache
+    // admission (AdmitSuperTile) always runs on this thread in schedule
+    // order, so the cache, and with it every later hit, miss and eviction,
+    // is the same for any num_threads.
     std::vector<std::shared_ptr<const SuperTile>> decoded(requests.size());
-    std::vector<std::future<Status>> pending;
+    std::vector<double> fetch_seconds(requests.size());
+    std::vector<std::future<Result<SuperTile>>> pending;
     Status status = Status::Ok();
     for (size_t i = 0; i < requests.size(); ++i) {
       const SuperTileRequest& request = requests[i];
       if (!ctx.unconstrained()) {
         // Cooperative checkpoint at the container boundary: a cancelled or
         // expired query stops between transfers, never mid-container.
-        // Everything already decoded stays admitted to the cache.
+        // Everything already decoded is still admitted to the cache.
         status = ctx.Check("tape fetch");
         if (!status.ok()) break;
       }
@@ -1268,62 +1279,41 @@ Status HeavenDb::FetchSuperTiles(
                                        request.crc32c, &container);
       }
       if (!status.ok()) break;
-      const double fetch_seconds = library_->ElapsedSeconds() - fetch_before;
+      fetch_seconds[i] = library_->ElapsedSeconds() - fetch_before;
+      auto decode = [trace = stats_.trace(), c = std::move(container)] {
+        ScopedSpan decode_span(trace, "supertile.decode");
+        return SuperTile::Deserialize(c);
+      };
       if (pool_ != nullptr) {
-        pending.push_back(pool_->Submit(
-            [this, request, ctx, fetch_seconds, slot = &decoded[i],
-             c = std::move(container)]() mutable {
-              return DecodeAndAdmitTask(request, std::move(ctx), std::move(c),
-                                        fetch_seconds, slot);
-            }));
-      } else {
-        QueryProfiler::StageTimer decode_timer(&profiler_,
-                                               ProfileStage::kDecode);
-        decode_timer.AddBytes(request.size_bytes);
-        status = DecodeAndAdmit(request, ctx, std::move(container),
-                                fetch_seconds, &decoded[i]);
-        if (!status.ok()) break;
+        pending.push_back(pool_->Submit(std::move(decode)));
+        continue;
       }
+      QueryProfiler::StageTimer decode_timer(&profiler_,
+                                             ProfileStage::kDecode);
+      decode_timer.AddBytes(request.size_bytes);
+      status = AdmitSuperTile(request, ctx, decode(), fetch_seconds[i],
+                              &decoded[i]);
+      if (!status.ok()) break;
     }
-    // Join the pipeline before touching results or returning an error —
-    // the tasks reference this frame's locals. Decode runs on workers (no
-    // active profile there), so the pool path attributes the join wait to
-    // the decode stage instead; it consumes no simulated time by design.
+    // Join the pipeline before returning, even on error, and admit every
+    // container that decoded: its transfer is paid for, and a rerun of a
+    // cancelled query takes the hit. Decode runs on workers (no active
+    // profile there), so the join counts as the decode stage; it consumes
+    // no simulated time by design.
     if (!pending.empty()) {
       QueryProfiler::StageTimer decode_timer(&profiler_,
                                              ProfileStage::kDecode);
-      for (std::future<Status>& pending_status : pending) {
-        Status s = pending_status.get();
-        if (status.ok() && !s.ok()) status = s;
+      for (size_t i = 0; i < pending.size(); ++i) {
+        Status admitted = AdmitSuperTile(requests[i], ctx, pending[i].get(),
+                                         fetch_seconds[i], &decoded[i]);
+        if (status.ok()) status = admitted;
       }
     }
-    if (!status.ok()) {
-      // A cancelled/expired batch may have fully decoded containers; their
-      // waiters get the super-tiles, only the rest fail.
-      SettlePartialFetches(&owned, requests, decoded, status);
-      return status;
-    }
-    // Fulfil this call's promises *before* waiting on foreign futures
+    // Settle this call's promises *before* waiting on foreign futures
     // below: two calls leading fetches while waiting on each other can
-    // then never cycle. Every request is validated against `owned` first —
-    // a promise must never be set and then hit an error path that would
-    // try to fail it a second time.
-    for (const SuperTileRequest& request : requests) {
-      if (owned.find(request.id) == owned.end()) {
-        status = Status::Internal("fetch leader lost ownership of super-tile " +
-                                  std::to_string(request.id));
-        FailOwnedFetches(&owned, status);
-        return status;
-      }
-    }
-    for (size_t i = 0; i < requests.size(); ++i) {
-      owned.find(requests[i].id)->second->promise.set_value(
-          FetchResult(decoded[i]));
-    }
-    {
-      MutexLock fetch_lock(fetch_mu_);
-      for (auto& [id, flight] : owned) inflight_.erase(id);
-    }
+    // then never cycle.
+    SettleOwnedFetches(&owned, status, requests, decoded);
+    HEAVEN_RETURN_IF_ERROR(status);
     for (size_t i = 0; i < requests.size(); ++i) {
       out->emplace(requests[i].id, std::move(decoded[i]));
     }
@@ -1363,60 +1353,35 @@ void HeavenDb::NotePrefetchHit(SuperTileId id) {
   }
 }
 
-// On any error the promises a fetch call registered must still be
-// fulfilled, or coalesced waiters would block forever.
-void HeavenDb::FailOwnedFetches(
+void HeavenDb::SettleOwnedFetches(
     std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-    const Status& status) {
-  if (owned->empty()) return;
+    const Status& status, const std::vector<SuperTileRequest>& requests,
+    const std::vector<std::shared_ptr<const SuperTile>>& decoded) {
   {
     MutexLock fetch_lock(fetch_mu_);
     for (auto& [id, flight] : *owned) inflight_.erase(id);
   }
-  for (auto& [id, flight] : *owned) {
-    flight->promise.set_value(FetchResult(status));
-  }
-}
-
-void HeavenDb::SettlePartialFetches(
-    std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-    const std::vector<SuperTileRequest>& requests,
-    const std::vector<std::shared_ptr<const SuperTile>>& decoded,
-    const Status& status) {
-  if (owned->empty()) return;
-  {
-    MutexLock fetch_lock(fetch_mu_);
-    for (auto& [id, flight] : *owned) inflight_.erase(id);
-  }
-  // Containers that made it through decode are already cache-admitted:
-  // coalesced waiters get the value (their queries are not the cancelled
-  // one), promises of never-transferred containers fail with `status`.
-  std::set<SuperTileId> fulfilled;
-  for (size_t i = 0; i < requests.size() && i < decoded.size(); ++i) {
+  for (size_t i = 0; i < decoded.size(); ++i) {
     if (decoded[i] == nullptr) continue;
     auto it = owned->find(requests[i].id);
-    if (it == owned->end()) continue;
     it->second->promise.set_value(FetchResult(decoded[i]));
-    fulfilled.insert(requests[i].id);
+    owned->erase(it);
   }
   for (auto& [id, flight] : *owned) {
-    if (fulfilled.count(id) > 0) continue;
     flight->promise.set_value(FetchResult(status));
   }
+  owned->clear();
 }
 
 // `fetch_seconds` is the tape-clock cost of this container's transfer,
 // measured by the transfer loop — decode consumes no simulated time.
-Status HeavenDb::DecodeAndAdmit(const SuperTileRequest& request,
+Status HeavenDb::AdmitSuperTile(const SuperTileRequest& request,
                                 const QueryContext& ctx,
-                                std::string container, double fetch_seconds,
+                                Result<SuperTile> decoded,
+                                double fetch_seconds,
                                 std::shared_ptr<const SuperTile>* slot) {
-  Result<SuperTile> st = [&] {
-    ScopedSpan decode_span(stats_.trace(), "supertile.decode");
-    return SuperTile::Deserialize(container);
-  }();
-  HEAVEN_RETURN_IF_ERROR(st.status());
-  auto shared = std::make_shared<const SuperTile>(std::move(st).value());
+  HEAVEN_RETURN_IF_ERROR(decoded.status());
+  auto shared = std::make_shared<const SuperTile>(std::move(decoded).value());
   cache_->Insert(request.id, shared, request.size_bytes);
   stats_.Record(Ticker::kSuperTilesRead);
   stats_.Record(Ticker::kSuperTileBytesRead, request.size_bytes);
@@ -1427,14 +1392,6 @@ Status HeavenDb::DecodeAndAdmit(const SuperTileRequest& request,
   // away the transfer it already paid for — a rerun takes the cache hit.
   if (!ctx.unconstrained()) return ctx.Check("decode");
   return Status::Ok();
-}
-
-Status HeavenDb::DecodeAndAdmitTask(SuperTileRequest request, QueryContext ctx,
-                                    std::string container,
-                                    double fetch_seconds,
-                                    std::shared_ptr<const SuperTile>* slot) {
-  return DecodeAndAdmit(request, ctx, std::move(container), fetch_seconds,
-                        slot);
 }
 
 Status HeavenDb::ReadContainerVerified(SuperTileId id, const QueryContext& ctx,
@@ -1554,100 +1511,189 @@ void HeavenDb::PruneTilesWithIndex(const DbSnapshot& snap,
   // that removes a super-tile's last needed tile the container is never
   // scheduled at all — the tape (and the simulated seek/transfer time)
   // is spared the whole transfer.
-  std::set<SuperTileId> before;
-  std::set<SuperTileId> after;
-  std::vector<TileDescriptor> kept;
-  kept.reserve(needed->size());
-  uint64_t pruned_tiles = 0;
-  for (TileDescriptor& tile : *needed) {
-    if (tile.location != TileLocation::kTertiary) {
-      kept.push_back(std::move(tile));
-      continue;
-    }
+  std::map<SuperTileId, bool> keeps_a_tile;  // indexed super-tiles only
+  const size_t candidates = needed->size();
+  std::erase_if(*needed, [&](const TileDescriptor& tile) {
+    if (tile.location != TileLocation::kTertiary) return false;
     const SuperTileMeta* meta = snap.FindSuperTile(tile.super_tile);
-    if (meta == nullptr || meta->index == nullptr) {
-      // Legacy object (or index disabled at export time): fetch as always.
-      kept.push_back(std::move(tile));
-      continue;
-    }
-    before.insert(tile.super_tile);
+    // Legacy object (or index disabled at export time): fetch as always.
+    if (meta == nullptr || meta->index == nullptr) return false;
     stats_.Record(Ticker::kIndexLookups);
     const TileIndexEntry* entry = meta->index->Find(tile.tile_id);
-    if (entry != nullptr && !SuperTileIndex::AnyNonZeroInBox(*entry, region)) {
-      ++pruned_tiles;
-      continue;
-    }
-    after.insert(tile.super_tile);
-    kept.push_back(std::move(tile));
-  }
-  *needed = std::move(kept);
+    const bool prune =
+        entry != nullptr && !SuperTileIndex::AnyNonZeroInBox(*entry, region);
+    keeps_a_tile[tile.super_tile] |= !prune;
+    return prune;
+  });
+  const uint64_t pruned_tiles = candidates - needed->size();
   if (pruned_tiles == 0) return;
   stats_.Record(Ticker::kIndexPrunedTiles, pruned_tiles);
-  for (SuperTileId id : before) {
-    if (after.count(id) > 0) continue;
-    const SuperTileMeta* meta = snap.FindSuperTile(id);
+  for (const auto& [id, kept] : keeps_a_tile) {
+    if (kept) continue;
     stats_.Record(Ticker::kIndexPrunedSuperTiles);
-    stats_.Record(Ticker::kIndexPrunedBytes, meta->size_bytes);
+    stats_.Record(Ticker::kIndexPrunedBytes,
+                  snap.FindSuperTile(id)->size_bytes);
   }
 }
 
-Status HeavenDb::CollectTiles(
-    const DbSnapshot& snap, const QueryContext& ctx, ObjectId object_id,
-    const MdInterval& region,
-    std::vector<std::pair<TileDescriptor, Tile>>* out) {
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                          snap.GetObject(object_id));
-  std::vector<TileDescriptor> needed;
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    needed = object->TilesIntersecting(region);
-    PruneTilesWithIndex(snap, region, &needed);
-  }
-  std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : needed) {
+void HeavenDb::ReadPlan::AddSuperTiles(
+    const std::vector<TileDescriptor>& tiles) {
+  for (const TileDescriptor& tile : tiles) {
     if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
+        seen.insert(tile.super_tile).second) {
+      supertiles.push_back(tile.super_tile);
     }
   }
+}
 
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
-  return MaterializeTiles(object->descriptor(), ctx, needed, supertiles, out);
+template <typename Read, typename Served>
+auto HeavenDb::RunQuery(const char* label, const char* span,
+                        const QueryContext& ctx, Read&& read, Served&& served)
+    -> decltype(read(std::declval<const DbSnapshot&>(),
+                     std::declval<ScopedSpan*>())) {
+  using R = decltype(read(std::declval<const DbSnapshot&>(),
+                          std::declval<ScopedSpan*>()));
+  // The query's only profile scope, so the outcome label NoteQueryOutcome
+  // sets lands on this query's profile.
+  QueryProfiler::Scope profile(&profiler_, label);
+  Status admit = AdmitQueryContext(ctx);
+  if (!admit.ok()) {
+    NoteQueryOutcome(admit);
+    return admit;
+  }
+  ScopedSpan query_span(stats_.trace(), span);
+  std::optional<R> result = served();
+  if (!result.has_value()) {
+    result = ReadWithSnapshotRetry(
+        [&](const DbSnapshot& snap) { return read(snap, &query_span); });
+  }
+  NoteQueryOutcome(result->status());
+  return std::move(*result);
+}
+
+Result<HeavenDb::ReadPlan> HeavenDb::Plan(const DbSnapshot& snap,
+                                          std::span<const ReadPiece> pieces) {
+  ReadPlan plan;
+  plan.pieces.reserve(pieces.size());
+  for (const ReadPiece& piece : pieces) {
+    HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
+                            snap.GetObject(piece.object_id));
+    const MdInterval& domain = object->descriptor().domain;
+    const MdInterval* region = piece.box != nullptr ? piece.box : &domain;
+    if (!domain.Contains(*region)) {
+      return Status::OutOfRange(
+          (piece.frame != nullptr ? "frame " + piece.frame->ToString()
+                                  : "query region " + region->ToString()) +
+          " outside object domain " + domain.ToString());
+    }
+    plan.pieces.push_back({std::move(object), region, piece.frame, {}});
+  }
+
+  QueryProfiler::StageTimer index_timer(&profiler_,
+                                        ProfileStage::kIndexLookup);
+  for (ReadPlan::Piece& piece : plan.pieces) {
+    piece.tiles = piece.object->TilesIntersecting(*piece.region);
+    if (piece.frame != nullptr) {
+      // Only tiles meeting the frame itself, not just its hull, are read:
+      // the whole point of object framing.
+      std::erase_if(piece.tiles, [&](const TileDescriptor& tile) {
+        return !piece.frame->IntersectsBox(tile.domain);
+      });
+    }
+    // Pruning a frame against its hull is sound: the frame lies inside
+    // the hull and the result is zero-filled.
+    PruneTilesWithIndex(snap, *piece.region, &piece.tiles);
+    plan.AddSuperTiles(piece.tiles);
+  }
+  return plan;
+}
+
+Result<std::vector<MddArray>> HeavenDb::ExecuteRead(
+    const DbSnapshot& snap, const QueryContext& ctx,
+    std::span<const ReadPiece> pieces, ScopedSpan* span) {
+  const double client_before = client_clock_.Now();
+  HEAVEN_ASSIGN_OR_RETURN(ReadPlan plan, Plan(snap, pieces));
+  SuperTiles supertiles;
+  HEAVEN_RETURN_IF_ERROR(
+      FetchSuperTiles(snap, ctx, plan.supertiles, &supertiles));
+
+  std::vector<MddArray> results;
+  results.reserve(plan.pieces.size());
+  for (const ReadPlan::Piece& piece : plan.pieces) {
+    std::optional<ScopedSpan> piece_span;
+    if (span == nullptr) {
+      piece_span.emplace(stats_.trace(), "query.read_region");
+    }
+    const double piece_before =
+        span == nullptr ? client_clock_.Now() : client_before;
+    std::vector<std::pair<TileDescriptor, Tile>> tiles;
+    HEAVEN_RETURN_IF_ERROR(MaterializeTiles(piece, ctx, supertiles, &tiles));
+    MddArray result(*piece.region, piece.object->descriptor().cell_type);
+    {
+      QueryProfiler::StageTimer scatter_timer(&profiler_,
+                                              ProfileStage::kScatter);
+      scatter_timer.AddBytes(result.tile().size_bytes());
+      HEAVEN_RETURN_IF_ERROR(ScatterTiles(ctx, piece, tiles, &result));
+    }
+    RecordQuery(piece_before, &result,
+                piece.frame != nullptr ? piece.frame->CellCount()
+                                       : piece.region->CellCount(),
+                span != nullptr ? span : &*piece_span);
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
+Result<MddArray> HeavenDb::ReadOne(const DbSnapshot& snap,
+                                   const QueryContext& ctx,
+                                   const ReadPiece& piece, ScopedSpan* span) {
+  std::optional<ScopedSpan> own_span;
+  if (span == nullptr) {
+    span = &own_span.emplace(stats_.trace(), "query.read_region");
+  }
+  HEAVEN_ASSIGN_OR_RETURN(std::vector<MddArray> results,
+                          ExecuteRead(snap, ctx, {&piece, 1}, span));
+  return std::move(results.front());
+}
+
+void HeavenDb::RecordQuery(double client_before, const MddArray* result,
+                           uint64_t cells, ScopedSpan* span) {
+  stats_.Record(Ticker::kQueriesExecuted);
+  stats_.RecordHistogram(HistogramKind::kQuerySeconds,
+                         client_clock_.Now() - client_before);
+  if (result == nullptr) return;
+  const uint64_t bytes = result->tile().size_bytes();
+  stats_.Record(Ticker::kCellsReturned, cells);
+  stats_.RecordHistogram(HistogramKind::kQueryBytes,
+                         static_cast<double>(bytes));
+  if (span != nullptr) span->SetBytes(bytes);
 }
 
 Status HeavenDb::MaterializeTiles(
-    const ObjectDescriptor& object, const QueryContext& ctx,
-    const std::vector<TileDescriptor>& needed,
-    const std::map<SuperTileId, std::shared_ptr<const SuperTile>>& supertiles,
+    const ReadPlan::Piece& piece, const QueryContext& ctx,
+    const SuperTiles& supertiles,
     std::vector<std::pair<TileDescriptor, Tile>>* out) {
   if (!ctx.unconstrained()) {
     HEAVEN_RETURN_IF_ERROR(ctx.Check("materialize"));
   }
+  const CellType cell_type = piece.object->descriptor().cell_type;
   uint64_t disk_bytes = 0;
-  for (const TileDescriptor& descriptor : needed) {
+  out->reserve(piece.tiles.size());
+  for (const TileDescriptor& descriptor : piece.tiles) {
     if (descriptor.location == TileLocation::kDisk) {
       HEAVEN_ASSIGN_OR_RETURN(std::string payload,
                               engine_->blobs()->Get(descriptor.blob_id));
       disk_bytes += payload.size();
-      out->emplace_back(descriptor, Tile(descriptor.domain, object.cell_type,
-                                         std::move(payload)));
+      out->emplace_back(descriptor,
+                        Tile(descriptor.domain, cell_type, std::move(payload)));
     } else {
-      const auto st_it = supertiles.find(descriptor.super_tile);
-      if (st_it == supertiles.end()) {
-        return Status::Internal(
-            "super-tile " + std::to_string(descriptor.super_tile) +
-            " required by tile " + std::to_string(descriptor.tile_id) +
-            " was not fetched");
-      }
       HEAVEN_ASSIGN_OR_RETURN(const Tile* tile,
-                              st_it->second->FindTile(descriptor.tile_id));
+                              FetchedTile(supertiles, descriptor));
       out->emplace_back(descriptor, *tile);
     }
     stats_.Record(Ticker::kTilesTouched);
   }
+  // One disk access per piece: the cost model includes a seek.
   if (disk_bytes > 0) {
     client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
   }
@@ -1655,24 +1701,34 @@ Status HeavenDb::MaterializeTiles(
 }
 
 Status HeavenDb::ScatterTiles(
-    const QueryContext& ctx,
+    const QueryContext& ctx, const ReadPlan::Piece& piece,
     const std::vector<std::pair<TileDescriptor, Tile>>& tiles,
-    const MdInterval& region, MddArray* result) {
+    MddArray* result) {
   if (!ctx.unconstrained()) {
     HEAVEN_RETURN_IF_ERROR(ctx.Check("scatter"));
   }
-  auto no_overlap = [&region](const TileDescriptor& descriptor) {
-    return Status::Internal("collected tile " +
-                           std::to_string(descriptor.tile_id) +
-                           " does not overlap query region " +
-                           region.ToString());
+  auto scatter = [&](const TileDescriptor& descriptor,
+                     const Tile& tile) -> Status {
+    if (piece.frame != nullptr) {
+      // The frame's pieces of the tile lie inside the result's hull.
+      for (const MdInterval& clip : piece.frame->ClipBox(descriptor.domain)) {
+        HEAVEN_RETURN_IF_ERROR(
+            result->mutable_tile().CopyRegionFrom(tile, clip));
+      }
+      return Status::Ok();
+    }
+    auto overlap = tile.domain().Intersection(*piece.region);
+    if (!overlap.has_value()) {
+      return Status::Internal("collected tile " +
+                              std::to_string(descriptor.tile_id) +
+                              " does not overlap query region " +
+                              piece.region->ToString());
+    }
+    return result->mutable_tile().CopyRegionFrom(tile, *overlap);
   };
   if (pool_ == nullptr || tiles.size() < 2) {
     for (const auto& [descriptor, tile] : tiles) {
-      auto overlap = tile.domain().Intersection(region);
-      if (!overlap.has_value()) return no_overlap(descriptor);
-      HEAVEN_RETURN_IF_ERROR(
-          result->mutable_tile().CopyRegionFrom(tile, *overlap));
+      HEAVEN_RETURN_IF_ERROR(scatter(descriptor, tile));
     }
     return Status::Ok();
   }
@@ -1680,512 +1736,186 @@ Status HeavenDb::ScatterTiles(
   // partition its domain), so the copies are data-race free.
   std::vector<Status> statuses(tiles.size());
   pool_->ParallelFor(tiles.size(), [&](size_t i) {
-    const auto& [descriptor, tile] = tiles[i];
-    auto overlap = tile.domain().Intersection(region);
-    if (!overlap.has_value()) {
-      statuses[i] = no_overlap(descriptor);
-      return;
-    }
-    statuses[i] = result->mutable_tile().CopyRegionFrom(tile, *overlap);
+    statuses[i] = scatter(tiles[i].first, tiles[i].second);
   });
   for (const Status& status : statuses) HEAVEN_RETURN_IF_ERROR(status);
   return Status::Ok();
 }
 
 Result<MddArray> HeavenDb::ReadRegion(ObjectId object_id,
-                                      const MdInterval& region) {
-  return ReadRegion(QueryContext(), object_id, region);
+                                      const MdInterval& region,
+                                      const QueryContext& ctx) {
+  return RunQuery("read_region", "query.read_region", ctx,
+                  [&](const DbSnapshot& snap, ScopedSpan* span) {
+                    return ReadOne(snap, ctx, {object_id, &region}, span);
+                  });
 }
 
-Result<MddArray> HeavenDb::ReadRegion(const QueryContext& ctx,
-                                      ObjectId object_id,
-                                      const MdInterval& region) {
-  // Outermost profile scope (inner scopes nest as no-ops) so the outcome
-  // label set by NoteQueryOutcome lands on this query's profile.
-  QueryProfiler::Scope profile(&profiler_, "read_region");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<MddArray> result = ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-    return ReadRegionAtSnapshot(snap, ctx, object_id, region);
-  });
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<MddArray> HeavenDb::ReadRegionAtSnapshot(const DbSnapshot& snap,
-                                                const QueryContext& ctx,
-                                                ObjectId object_id,
-                                                const MdInterval& region) {
-  QueryProfiler::Scope profile(&profiler_, "read_region");
-  ScopedSpan span(stats_.trace(), "query.read_region");
-  const double client_before = client_clock_.Now();
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                          snap.GetObject(object_id));
-  if (!object->descriptor().domain.Contains(region)) {
-    return Status::OutOfRange("query region " + region.ToString() +
-                              " outside object domain " +
-                              object->descriptor().domain.ToString());
-  }
-  std::vector<std::pair<TileDescriptor, Tile>> tiles;
-  HEAVEN_RETURN_IF_ERROR(CollectTiles(snap, ctx, object_id, region, &tiles));
-
-  MddArray result(region, object->descriptor().cell_type);
-  {
-    QueryProfiler::StageTimer scatter_timer(&profiler_,
-                                            ProfileStage::kScatter);
-    scatter_timer.AddBytes(result.tile().size_bytes());
-    HEAVEN_RETURN_IF_ERROR(ScatterTiles(ctx, tiles, region, &result));
-  }
-  stats_.Record(Ticker::kQueriesExecuted);
-  stats_.Record(Ticker::kCellsReturned, region.CellCount());
-  span.SetBytes(result.tile().size_bytes());
-  stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                         client_clock_.Now() - client_before);
-  stats_.RecordHistogram(HistogramKind::kQueryBytes,
-                         static_cast<double>(result.tile().size_bytes()));
-  return result;
-}
-
-Result<MddArray> HeavenDb::ReadObject(ObjectId object_id) {
-  return ReadObject(QueryContext(), object_id);
-}
-
-Result<MddArray> HeavenDb::ReadObject(const QueryContext& ctx,
-                                      ObjectId object_id) {
-  QueryProfiler::Scope profile(&profiler_, "read_region");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<MddArray> result = ReadWithSnapshotRetry(
-      [&](const DbSnapshot& snap) -> Result<MddArray> {
-        HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                                snap.GetObject(object_id));
-        return ReadRegionAtSnapshot(snap, ctx, object_id,
-                                    object->descriptor().domain);
-      });
-  NoteQueryOutcome(result.status());
-  return result;
+Result<MddArray> HeavenDb::ReadObject(ObjectId object_id,
+                                      const QueryContext& ctx) {
+  return RunQuery("read_region", "query.read_region", ctx,
+                  [&](const DbSnapshot& snap, ScopedSpan* span) {
+                    return ReadOne(snap, ctx, {object_id}, span);
+                  });
 }
 
 Result<MddArray> HeavenDb::ReadFrame(ObjectId object_id,
-                                     const ObjectFrame& frame) {
-  return ReadFrame(QueryContext(), object_id, frame);
+                                     const ObjectFrame& frame,
+                                     const QueryContext& ctx) {
+  return RunQuery("read_frame", "query.read_frame", ctx,
+                  [&](const DbSnapshot& snap,
+                      ScopedSpan* span) -> Result<MddArray> {
+                    HEAVEN_ASSIGN_OR_RETURN(MdInterval hull,
+                                            frame.BoundingBox());
+                    return ReadOne(snap, ctx, {object_id, &hull, &frame},
+                                   span);
+                  });
 }
 
-Result<MddArray> HeavenDb::ReadFrame(const QueryContext& ctx,
-                                     ObjectId object_id,
-                                     const ObjectFrame& frame) {
-  QueryProfiler::Scope profile(&profiler_, "read_frame");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
+Result<std::vector<MddArray>> HeavenDb::ReadRegions(
+    const std::vector<std::pair<ObjectId, MdInterval>>& queries,
+    const QueryContext& ctx) {
+  std::vector<ReadPiece> pieces;
+  pieces.reserve(queries.size());
+  for (const auto& [object_id, region] : queries) {
+    pieces.push_back({object_id, &region});
   }
-  Result<MddArray> result = ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-    return ReadFrameAtSnapshot(snap, ctx, object_id, frame);
-  });
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<MddArray> HeavenDb::ReadFrameAtSnapshot(const DbSnapshot& snap,
-                                               const QueryContext& ctx,
-                                               ObjectId object_id,
-                                               const ObjectFrame& frame) {
-  QueryProfiler::Scope profile(&profiler_, "read_frame");
-  ScopedSpan span(stats_.trace(), "query.read_frame");
-  const double client_before = client_clock_.Now();
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> snap_object,
-                          snap.GetObject(object_id));
-  const ObjectDescriptor& object = snap_object->descriptor();
-  HEAVEN_ASSIGN_OR_RETURN(MdInterval bbox, frame.BoundingBox());
-  if (!object.domain.Contains(bbox)) {
-    return Status::OutOfRange("frame " + frame.ToString() +
-                              " outside object domain");
-  }
-
-  // Only tiles intersecting the frame itself (not just the hull) are
-  // touched — this is the whole point of object framing.
-  std::vector<TileDescriptor> candidates;
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    candidates = snap_object->TilesIntersecting(bbox);
-  }
-  std::vector<TileDescriptor> needed;
-  for (TileDescriptor& tile : candidates) {
-    if (!frame.IntersectsBox(tile.domain)) continue;
-    needed.push_back(std::move(tile));
-  }
-  {
-    // Pruning against the bounding box is sound for the frame too: the
-    // frame's pieces are subsets of the box and the result is zero-filled.
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    PruneTilesWithIndex(snap, bbox, &needed);
-  }
-  std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : needed) {
-    if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
-    }
-  }
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
-
-  MddArray result(bbox, object.cell_type);  // zero-initialized
-  {
-    QueryProfiler::StageTimer scatter_timer(&profiler_,
-                                            ProfileStage::kScatter);
-    if (!ctx.unconstrained()) {
-      HEAVEN_RETURN_IF_ERROR(ctx.Check("scatter"));
-    }
-    uint64_t disk_bytes = 0;
-    for (const TileDescriptor& descriptor : needed) {
-      Tile tile;
-      if (descriptor.location == TileLocation::kDisk) {
-        HEAVEN_ASSIGN_OR_RETURN(std::string payload,
-                                engine_->blobs()->Get(descriptor.blob_id));
-        disk_bytes += payload.size();
-        tile = Tile(descriptor.domain, object.cell_type, std::move(payload));
-      } else {
-        const auto st_it = supertiles.find(descriptor.super_tile);
-        if (st_it == supertiles.end()) {
-          return Status::Internal(
-              "super-tile " + std::to_string(descriptor.super_tile) +
-              " required by tile " + std::to_string(descriptor.tile_id) +
-              " was not fetched");
-        }
-        HEAVEN_ASSIGN_OR_RETURN(const Tile* found,
-                                st_it->second->FindTile(descriptor.tile_id));
-        tile = *found;
-      }
-      stats_.Record(Ticker::kTilesTouched);
-      for (const MdInterval& piece : frame.ClipBox(descriptor.domain)) {
-        auto overlap = piece.Intersection(bbox);
-        if (!overlap.has_value()) continue;
-        HEAVEN_RETURN_IF_ERROR(
-            result.mutable_tile().CopyRegionFrom(tile, *overlap));
-      }
-    }
-    if (disk_bytes > 0) {
-      client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
-    }
-    scatter_timer.AddBytes(result.tile().size_bytes());
-  }
-  stats_.Record(Ticker::kQueriesExecuted);
-  stats_.Record(Ticker::kCellsReturned, frame.CellCount());
-  span.SetBytes(result.tile().size_bytes());
-  stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                         client_clock_.Now() - client_before);
-  stats_.RecordHistogram(HistogramKind::kQueryBytes,
-                         static_cast<double>(result.tile().size_bytes()));
-  return result;
+  return RunQuery("read_regions", "query.read_regions", ctx,
+                  [&](const DbSnapshot& snap, ScopedSpan*) {
+                    return ExecuteRead(snap, ctx, pieces, nullptr);
+                  });
 }
 
 Result<double> HeavenDb::Aggregate(ObjectId object_id, Condenser condenser,
-                                   const MdInterval& region) {
-  return Aggregate(QueryContext(), object_id, condenser, region);
-}
-
-Result<double> HeavenDb::Aggregate(const QueryContext& ctx, ObjectId object_id,
-                                   Condenser condenser,
-                                   const MdInterval& region) {
-  QueryProfiler::Scope profile(&profiler_, "aggregate");
-  // Admission happens once, here: AggregateImpl's inner region read goes
-  // through the snapshot body directly, so the token bucket is not charged
-  // a second time for the same client query.
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<double> result = AggregateImpl(ctx, object_id, condenser, region);
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<double> HeavenDb::AggregateImpl(const QueryContext& ctx,
-                                       ObjectId object_id, Condenser condenser,
-                                       const MdInterval& region) {
-  // No db_mu_ here: the precomputed catalog is internally locked and
-  // the region read pins its own snapshot.
-  ScopedSpan span(stats_.trace(), "query.aggregate");
-  const double client_before = client_clock_.Now();
-  if (options_.enable_precomputed) {
+                                   const MdInterval& region,
+                                   const QueryContext& ctx) {
+  // The precomputed catalog is internally locked and answers ahead of the
+  // snapshot pin. A miss reads its region through the plan, which records
+  // the query.
+  auto precomputed = [&]() -> std::optional<double> {
+    if (!options_.enable_precomputed) return std::nullopt;
+    const double client_before = client_clock_.Now();
     std::optional<double> hit =
         precomputed_->Lookup(object_id, condenser, region);
-    if (hit.has_value()) {
-      stats_.Record(Ticker::kQueriesExecuted);
-      stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                             client_clock_.Now() - client_before);
-      return *hit;
+    if (hit.has_value()) RecordQuery(client_before);
+    return hit;
+  };
+  auto compute = [&](const DbSnapshot& snap, ScopedSpan*) -> Result<double> {
+    HEAVEN_ASSIGN_OR_RETURN(MddArray data,
+                            ReadOne(snap, ctx, {object_id, &region}));
+    HEAVEN_ASSIGN_OR_RETURN(double value,
+                            CondenseRegion(data, condenser, region));
+    if (options_.enable_precomputed) {
+      precomputed_->Insert(object_id, condenser, region, value);
+      HEAVEN_RETURN_IF_ERROR(PersistPrecomputed());
     }
-  }
-  HEAVEN_ASSIGN_OR_RETURN(
-      MddArray data, ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-        return ReadRegionAtSnapshot(snap, ctx, object_id, region);
-      }));
-  HEAVEN_ASSIGN_OR_RETURN(double value,
-                          CondenseRegion(data, condenser, region));
-  if (options_.enable_precomputed) {
-    precomputed_->Insert(object_id, condenser, region, value);
-    HEAVEN_RETURN_IF_ERROR(PersistPrecomputed());
-  }
-  stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                         client_clock_.Now() - client_before);
-  return value;
-}
-
-Result<std::vector<MddArray>> HeavenDb::ReadRegions(
-    const std::vector<std::pair<ObjectId, MdInterval>>& queries) {
-  return ReadRegions(QueryContext(), queries);
-}
-
-Result<std::vector<MddArray>> HeavenDb::ReadRegions(
-    const QueryContext& ctx,
-    const std::vector<std::pair<ObjectId, MdInterval>>& queries) {
-  QueryProfiler::Scope profile(&profiler_, "read_regions");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<std::vector<MddArray>> result =
-      ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-        return ReadRegionsAtSnapshot(snap, ctx, queries);
-      });
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<std::vector<MddArray>> HeavenDb::ReadRegionsAtSnapshot(
-    const DbSnapshot& snap, const QueryContext& ctx,
-    const std::vector<std::pair<ObjectId, MdInterval>>& queries) {
-  QueryProfiler::Scope profile(&profiler_, "read_regions");
-  ScopedSpan span(stats_.trace(), "query.read_regions");
-  // Phase 1: collect each query's tile descriptors once and gather every
-  // tertiary super-tile needed by any query so the scheduler sees the
-  // whole batch at once.
-  std::vector<std::vector<TileDescriptor>> per_query(queries.size());
-  std::vector<SuperTileId> needed_sts;
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const auto& [object_id, region] = queries[q];
-      HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                              snap.GetObject(object_id));
-      per_query[q] = object->TilesIntersecting(region);
-      PruneTilesWithIndex(snap, region, &per_query[q]);
-      for (const TileDescriptor& tile : per_query[q]) {
-        if (tile.location != TileLocation::kTertiary) continue;
-        if (std::find(needed_sts.begin(), needed_sts.end(),
-                      tile.super_tile) == needed_sts.end()) {
-          needed_sts.push_back(tile.super_tile);
-        }
-      }
-    }
-  }
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
-
-  // Phase 2: answer each query from the descriptors collected in phase 1
-  // and the batch-fetched super-tiles — no second index lookup or cache
-  // probe per query.
-  std::vector<MddArray> results;
-  results.reserve(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const auto& [object_id, region] = queries[q];
-    ScopedSpan query_span(stats_.trace(), "query.read_region");
-    const double client_before = client_clock_.Now();
-    HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> snap_object,
-                            snap.GetObject(object_id));
-    const ObjectDescriptor& object = snap_object->descriptor();
-    if (!object.domain.Contains(region)) {
-      return Status::OutOfRange("query region " + region.ToString() +
-                                " outside object domain " +
-                                object.domain.ToString());
-    }
-    std::vector<std::pair<TileDescriptor, Tile>> tiles;
-    HEAVEN_RETURN_IF_ERROR(
-        MaterializeTiles(object, ctx, per_query[q], supertiles, &tiles));
-    MddArray result(region, object.cell_type);
-    {
-      QueryProfiler::StageTimer scatter_timer(&profiler_,
-                                              ProfileStage::kScatter);
-      scatter_timer.AddBytes(result.tile().size_bytes());
-      HEAVEN_RETURN_IF_ERROR(ScatterTiles(ctx, tiles, region, &result));
-    }
-    stats_.Record(Ticker::kQueriesExecuted);
-    stats_.Record(Ticker::kCellsReturned, region.CellCount());
-    query_span.SetBytes(result.tile().size_bytes());
-    stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                           client_clock_.Now() - client_before);
-    stats_.RecordHistogram(HistogramKind::kQueryBytes,
-                           static_cast<double>(result.tile().size_bytes()));
-    results.push_back(std::move(result));
-  }
-  return results;
+    return value;
+  };
+  return RunQuery("aggregate", "query.aggregate", ctx, compute, precomputed);
 }
 
 Result<bool> HeavenDb::EvaluateQuantifier(ObjectId object_id,
                                           const MdInterval& region,
                                           const CellPredicate& pred,
-                                          bool universal) {
-  return EvaluateQuantifier(QueryContext(), object_id, region, pred,
-                            universal);
-}
+                                          bool universal,
+                                          const QueryContext& ctx) {
+  auto decide = [&](const DbSnapshot& snap, ScopedSpan*) -> Result<bool> {
+    const double client_before = client_clock_.Now();
+    HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
+                            snap.GetObject(object_id));
+    const ObjectDescriptor& descriptor = object->descriptor();
+    if (!descriptor.domain.Contains(region)) {
+      return Status::OutOfRange("query region " + region.ToString() +
+                                " outside object domain " +
+                                descriptor.domain.ToString());
+    }
+    const bool zero_matches = EvalCellPredicate(pred, 0.0);
 
-Result<bool> HeavenDb::EvaluateQuantifier(const QueryContext& ctx,
-                                          ObjectId object_id,
-                                          const MdInterval& region,
-                                          const CellPredicate& pred,
-                                          bool universal) {
-  QueryProfiler::Scope profile(&profiler_, "quantifier");
-  Status admit = AdmitQueryContext(ctx);
-  if (!admit.ok()) {
-    NoteQueryOutcome(admit);
-    return admit;
-  }
-  Result<bool> result = ReadWithSnapshotRetry([&](const DbSnapshot& snap) {
-    return EvaluateQuantifierAtSnapshot(snap, ctx, object_id, region, pred,
-                                        universal);
-  });
-  NoteQueryOutcome(result.status());
-  return result;
-}
-
-Result<bool> HeavenDb::EvaluateQuantifierAtSnapshot(const DbSnapshot& snap,
-                                                    const QueryContext& ctx,
-                                                    ObjectId object_id,
-                                                    const MdInterval& region,
-                                                    const CellPredicate& pred,
-                                                    bool universal) {
-  QueryProfiler::Scope profile(&profiler_, "quantifier");
-  ScopedSpan span(stats_.trace(), "query.quantifier");
-  const double client_before = client_clock_.Now();
-  HEAVEN_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotObject> object,
-                          snap.GetObject(object_id));
-  const ObjectDescriptor& descriptor = object->descriptor();
-  if (!descriptor.domain.Contains(region)) {
-    return Status::OutOfRange("query region " + region.ToString() +
-                              " outside object domain " +
-                              descriptor.domain.ToString());
-  }
-  const bool zero_matches = EvalCellPredicate(pred, 0.0);
-
-  // Pass 1 — decide as many tiles as possible from the index alone.
-  std::vector<TileDescriptor> undecided;
-  uint64_t covered = 0;
-  bool exists = false;  // some overlap cell satisfies the predicate
-  bool all = true;      // every decided overlap cell satisfies it
-  {
-    QueryProfiler::StageTimer index_timer(&profiler_,
-                                          ProfileStage::kIndexLookup);
-    std::vector<TileDescriptor> tiles = object->TilesIntersecting(region);
-    for (TileDescriptor& tile : tiles) {
-      auto overlap = tile.domain.Intersection(region);
-      if (!overlap.has_value()) continue;
-      covered += overlap->CellCount();
-      const SuperTileMeta* meta =
-          tile.location == TileLocation::kTertiary
-              ? snap.FindSuperTile(tile.super_tile)
-              : nullptr;
-      const TileIndexEntry* entry =
-          options_.index_pruning && meta != nullptr && meta->index != nullptr
-              ? meta->index->Find(tile.tile_id)
-              : nullptr;
-      if (entry == nullptr) {
-        undecided.push_back(std::move(tile));
-        continue;
-      }
-      stats_.Record(Ticker::kIndexLookups);
-      // Min/max classify the tile's whole cell population; all/none
-      // verdicts hold for any subset, the overlap included. When the
-      // range is inconclusive the zero-mask may still prove the overlap
-      // all-zero, which evaluates the predicate exactly at 0.
-      PredicateOutcome outcome =
-          ClassifyValueRange(pred, entry->min_value, entry->max_value);
-      if (outcome == PredicateOutcome::kUndecided &&
-          !SuperTileIndex::AnyNonZeroInBox(*entry, *overlap)) {
-        outcome = zero_matches ? PredicateOutcome::kAllSatisfy
-                               : PredicateOutcome::kNoneSatisfy;
-      }
-      switch (outcome) {
-        case PredicateOutcome::kAllSatisfy:
-          stats_.Record(Ticker::kIndexPredicateShortcuts);
-          exists = true;
-          break;
-        case PredicateOutcome::kNoneSatisfy:
-          stats_.Record(Ticker::kIndexPredicateShortcuts);
-          all = false;
-          break;
-        case PredicateOutcome::kUndecided:
+    // Pass 1 — decide as many tiles as possible from the index alone.
+    std::vector<TileDescriptor> undecided;
+    uint64_t covered = 0;
+    bool exists = false;  // some overlap cell satisfies the predicate
+    bool all = true;      // every decided overlap cell satisfies it
+    // Notes a verdict over some cells: `satisfied` by all or by none.
+    auto note = [&](bool satisfied) { (satisfied ? exists : all) = satisfied; };
+    // Once true, no further cell can change the answer.
+    auto settled = [&] { return universal ? !all : exists; };
+    {
+      QueryProfiler::StageTimer index_timer(&profiler_,
+                                            ProfileStage::kIndexLookup);
+      std::vector<TileDescriptor> tiles = object->TilesIntersecting(region);
+      for (TileDescriptor& tile : tiles) {
+        auto overlap = tile.domain.Intersection(region);
+        if (!overlap.has_value()) continue;
+        covered += overlap->CellCount();
+        const SuperTileMeta* meta =
+            tile.location == TileLocation::kTertiary
+                ? snap.FindSuperTile(tile.super_tile)
+                : nullptr;
+        const TileIndexEntry* entry =
+            options_.index_pruning && meta != nullptr && meta->index != nullptr
+                ? meta->index->Find(tile.tile_id)
+                : nullptr;
+        if (entry == nullptr) {
           undecided.push_back(std::move(tile));
-          break;
+          continue;
+        }
+        stats_.Record(Ticker::kIndexLookups);
+        // Min/max classify the tile's whole cell population; all/none
+        // verdicts hold for any subset, the overlap included. When the
+        // range is inconclusive the zero-mask may still prove the overlap
+        // all-zero, which evaluates the predicate exactly at 0.
+        PredicateOutcome outcome =
+            ClassifyValueRange(pred, entry->min_value, entry->max_value);
+        if (outcome == PredicateOutcome::kUndecided &&
+            !SuperTileIndex::AnyNonZeroInBox(*entry, *overlap)) {
+          outcome = zero_matches ? PredicateOutcome::kAllSatisfy
+                                 : PredicateOutcome::kNoneSatisfy;
+        }
+        if (outcome == PredicateOutcome::kUndecided) {
+          undecided.push_back(std::move(tile));
+          continue;
+        }
+        stats_.Record(Ticker::kIndexPredicateShortcuts);
+        note(outcome == PredicateOutcome::kAllSatisfy);
       }
     }
-  }
-  // Region cells no tile covers read as zero (the read path zero-fills
-  // them), so they take part in the quantification too.
-  if (covered < region.CellCount()) {
-    if (zero_matches) {
-      exists = true;
-    } else {
-      all = false;
-    }
-  }
+    // Region cells no tile covers read as zero (the read path zero-fills
+    // them), so they take part in the quantification too.
+    if (covered < region.CellCount()) note(zero_matches);
 
-  auto finish = [&](bool value) -> Result<bool> {
-    stats_.Record(Ticker::kQueriesExecuted);
-    stats_.RecordHistogram(HistogramKind::kQuerySeconds,
-                           client_clock_.Now() - client_before);
-    return value;
+    auto finish = [&]() -> Result<bool> {
+      RecordQuery(client_before);
+      return universal ? all : exists;
+    };
+    if (settled() || undecided.empty()) return finish();
+
+    // Pass 2 — the still-undecided tiles go through the plan's fetch and
+    // materialize steps, then their cells are scanned.
+    ReadPlan plan;
+    plan.AddSuperTiles(undecided);
+    plan.pieces.push_back({object, &region, nullptr, std::move(undecided)});
+    SuperTiles supertiles;
+    HEAVEN_RETURN_IF_ERROR(
+        FetchSuperTiles(snap, ctx, plan.supertiles, &supertiles));
+    std::vector<std::pair<TileDescriptor, Tile>> tiles;
+    HEAVEN_RETURN_IF_ERROR(
+        MaterializeTiles(plan.pieces.front(), ctx, supertiles, &tiles));
+    const size_t cell_size = CellTypeSize(descriptor.cell_type);
+    for (const auto& [desc, tile] : tiles) {
+      auto overlap = desc.domain.Intersection(region);
+      if (!overlap.has_value()) continue;
+      for (MdPointIterator it(*overlap); !it.Done(); it.Next()) {
+        const uint64_t off = desc.domain.LinearOffset(it.point());
+        const double value = ReadCellAsDouble(
+            descriptor.cell_type, tile.data().data() + off * cell_size);
+        note(EvalCellPredicate(pred, value));
+        if (settled()) return finish();
+      }
+    }
+    return finish();
   };
-  if (universal && !all) return finish(false);
-  if (!universal && exists) return finish(true);
-  if (undecided.empty()) return finish(universal ? all : exists);
-
-  // Pass 2 — fetch and scan only the still-undecided tiles.
-  std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : undecided) {
-    if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
-    }
-  }
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
-  HEAVEN_RETURN_IF_ERROR(FetchSuperTiles(snap, ctx, needed_sts, &supertiles));
-  std::vector<std::pair<TileDescriptor, Tile>> tiles;
-  HEAVEN_RETURN_IF_ERROR(
-      MaterializeTiles(descriptor, ctx, undecided, supertiles, &tiles));
-  const size_t cell_size = CellTypeSize(descriptor.cell_type);
-  for (const auto& [desc, tile] : tiles) {
-    auto overlap = desc.domain.Intersection(region);
-    if (!overlap.has_value()) continue;
-    for (MdPointIterator it(*overlap); !it.Done(); it.Next()) {
-      const uint64_t off = desc.domain.LinearOffset(it.point());
-      const double value = ReadCellAsDouble(
-          descriptor.cell_type, tile.data().data() + off * cell_size);
-      if (EvalCellPredicate(pred, value)) {
-        exists = true;
-        if (!universal) return finish(true);
-      } else {
-        all = false;
-        if (universal) return finish(false);
-      }
-    }
-  }
-  return finish(universal ? all : exists);
+  return RunQuery("quantifier", "query.quantifier", ctx, decide);
 }
 
 // ------------------------------------------------------- delete / import --
@@ -2195,60 +1925,40 @@ Status HeavenDb::ReimportObject(ObjectId object_id) {
   ScopedMutator mutator(&active_mutators_);
   HEAVEN_ASSIGN_OR_RETURN(ObjectDescriptor object,
                           engine_->catalog()->GetObject(object_id));
-  std::vector<TileDescriptor> tertiary_tiles;
-  std::vector<SuperTileId> needed_sts;
-  for (TileDescriptor& tile : engine_->catalog()->ListTiles(object_id)) {
-    if (tile.location != TileLocation::kTertiary) continue;
-    if (std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-        needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
-    }
-    tertiary_tiles.push_back(std::move(tile));
-  }
+  std::vector<TileDescriptor> tertiary_tiles =
+      engine_->catalog()->ListTiles(object_id);
+  std::erase_if(tertiary_tiles, [](const TileDescriptor& tile) {
+    return tile.location != TileLocation::kTertiary;
+  });
   if (tertiary_tiles.empty()) return Status::Ok();
+  ReadPlan plan;
+  plan.AddSuperTiles(tertiary_tiles);
 
   // At a mutator's start the published snapshot equals the live state, so
   // the snapshot-parameterized fetch path serves the mutator too.
   const DbSnapshotPtr snap = AcquireReadSnapshot();
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
+  SuperTiles supertiles;
   HEAVEN_RETURN_IF_ERROR(
-      FetchSuperTiles(*snap, QueryContext(), needed_sts, &supertiles));
+      FetchSuperTiles(*snap, QueryContext(), plan.supertiles, &supertiles));
 
   std::unique_ptr<Transaction> txn = engine_->Begin();
   uint64_t disk_bytes = 0;
   for (const TileDescriptor& descriptor : tertiary_tiles) {
-    const auto st_it = supertiles.find(descriptor.super_tile);
-    if (st_it == supertiles.end()) {
-      return Status::Internal(
-          "super-tile " + std::to_string(descriptor.super_tile) +
-          " required by tile " + std::to_string(descriptor.tile_id) +
-          " was not fetched");
-    }
     HEAVEN_ASSIGN_OR_RETURN(const Tile* tile,
-                            st_it->second->FindTile(descriptor.tile_id));
+                            FetchedTile(supertiles, descriptor));
     const BlobId blob_id = engine_->blobs()->NextBlobId();
     txn->PutBlob(blob_id, tile->data());
     disk_bytes += tile->size_bytes();
-    CatalogDelta update;
-    update.op = CatalogOp::kUpdateTileLocation;
-    update.object_id = object_id;
-    update.tile = descriptor;
-    update.tile.location = TileLocation::kDisk;
-    update.tile.blob_id = blob_id;
-    update.tile.super_tile = 0;
-    txn->UpdateCatalog(update);
+    txn->UpdateCatalog(
+        TileMove(object_id, descriptor, TileLocation::kDisk, blob_id, 0));
   }
   // The object's super-tiles become unreferenced; drop them from the
   // registry and the cache (the tape extents are dead append-only data).
-  for (SuperTileId id : needed_sts) {
+  for (SuperTileId id : plan.supertiles) {
     registry_.Erase(id);
     cache_->Erase(id);
   }
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
+  txn->UpdateCatalog(RegistrySectionLocked());
   HEAVEN_RETURN_IF_ERROR(txn->Commit());
   PublishSnapshot({object_id});
   client_clock_.Advance(options_.disk.AccessSeconds(disk_bytes));
@@ -2278,17 +1988,11 @@ Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
                           snap->GetObject(object_id));
   std::vector<TileDescriptor> affected =
       snap_object->TilesIntersecting(patch.domain());
-  std::vector<SuperTileId> needed_sts;
-  for (const TileDescriptor& tile : affected) {
-    if (tile.location == TileLocation::kTertiary &&
-        std::find(needed_sts.begin(), needed_sts.end(), tile.super_tile) ==
-            needed_sts.end()) {
-      needed_sts.push_back(tile.super_tile);
-    }
-  }
-  std::map<SuperTileId, std::shared_ptr<const SuperTile>> supertiles;
+  ReadPlan plan;
+  plan.AddSuperTiles(affected);
+  SuperTiles supertiles;
   HEAVEN_RETURN_IF_ERROR(
-      FetchSuperTiles(*snap, QueryContext(), needed_sts, &supertiles));
+      FetchSuperTiles(*snap, QueryContext(), plan.supertiles, &supertiles));
 
   std::unique_ptr<Transaction> txn = engine_->Begin();
   uint64_t disk_bytes = 0;
@@ -2301,15 +2005,8 @@ Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
                               engine_->blobs()->Get(descriptor.blob_id));
       tile = Tile(descriptor.domain, object.cell_type, std::move(payload));
     } else {
-      const auto st_it = supertiles.find(descriptor.super_tile);
-      if (st_it == supertiles.end()) {
-        return Status::Internal(
-            "super-tile " + std::to_string(descriptor.super_tile) +
-            " required by tile " + std::to_string(descriptor.tile_id) +
-            " was not fetched");
-      }
       HEAVEN_ASSIGN_OR_RETURN(const Tile* found,
-                              st_it->second->FindTile(descriptor.tile_id));
+                              FetchedTile(supertiles, descriptor));
       tile = *found;
       ++tiles_leaving[descriptor.super_tile];
     }
@@ -2328,14 +2025,8 @@ Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
     disk_bytes += tile.size_bytes();
     txn->PutBlob(blob_id, std::move(tile.mutable_data()));
     if (descriptor.location == TileLocation::kTertiary) {
-      CatalogDelta update;
-      update.op = CatalogOp::kUpdateTileLocation;
-      update.object_id = object_id;
-      update.tile = descriptor;
-      update.tile.location = TileLocation::kDisk;
-      update.tile.blob_id = blob_id;
-      update.tile.super_tile = 0;
-      txn->UpdateCatalog(update);
+      txn->UpdateCatalog(
+          TileMove(object_id, descriptor, TileLocation::kDisk, blob_id, 0));
     }
   }
 
@@ -2371,11 +2062,7 @@ Status HeavenDb::UpdateRegion(ObjectId object_id, const MddArray& patch) {
     }
   }
   if (registry_changed) {
-    CatalogDelta registry_delta;
-    registry_delta.op = CatalogOp::kSetSection;
-    registry_delta.name = kRegistrySection;
-    registry_delta.payload = SerializeRegistryLocked();
-    txn->UpdateCatalog(registry_delta);
+    txn->UpdateCatalog(RegistrySectionLocked());
   }
   HEAVEN_RETURN_IF_ERROR(txn->Commit());
   PublishSnapshot({object_id});
@@ -2409,11 +2096,7 @@ Status HeavenDb::DeleteObject(ObjectId object_id) {
     cache_->Erase(id);
     registry_.Erase(id);
   }
-  CatalogDelta registry_delta;
-  registry_delta.op = CatalogOp::kSetSection;
-  registry_delta.name = kRegistrySection;
-  registry_delta.payload = SerializeRegistryLocked();
-  txn->UpdateCatalog(registry_delta);
+  txn->UpdateCatalog(RegistrySectionLocked());
   curves_.erase(object_id);
   HEAVEN_RETURN_IF_ERROR(PersistCurvesLocked(txn.get()));
   HEAVEN_RETURN_IF_ERROR(txn->Commit());

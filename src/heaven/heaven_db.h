@@ -5,8 +5,11 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "array/mdd.h"
@@ -244,29 +247,37 @@ class HeavenDb {
   Result<ObjectDescriptor> FindObject(const std::string& name)
       EXCLUDES(db_mu_);
 
+  // Every reader takes a trailing QueryContext carrying the QoS class, a
+  // deadline on the tape clock and a cancellation token. It rides the
+  // whole read path (admission, scheduling, the tape transfer loop, decode
+  // and scatter) and is checked cooperatively at each stage boundary. The
+  // default, unconstrained context adds no sim time, tickers or spans.
+
   /// Box (trim) query across the storage hierarchy.
-  Result<MddArray> ReadRegion(ObjectId object_id, const MdInterval& region)
-      EXCLUDES(db_mu_);
+  Result<MddArray> ReadRegion(ObjectId object_id, const MdInterval& region,
+                              const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Whole-object read.
-  Result<MddArray> ReadObject(ObjectId object_id) EXCLUDES(db_mu_);
+  Result<MddArray> ReadObject(ObjectId object_id, const QueryContext& ctx = {})
+      EXCLUDES(db_mu_);
 
   /// Object-framing query: only cells inside the frame are retrieved; the
   /// result covers the frame's bounding box with cells outside the frame
   /// zero-filled.
-  Result<MddArray> ReadFrame(ObjectId object_id, const ObjectFrame& frame)
-      EXCLUDES(db_mu_);
+  Result<MddArray> ReadFrame(ObjectId object_id, const ObjectFrame& frame,
+                             const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Condenser over a region, served from the precomputed catalog when
   /// possible; computed results are added to the catalog.
   Result<double> Aggregate(ObjectId object_id, Condenser condenser,
-                           const MdInterval& region) EXCLUDES(db_mu_);
+                           const MdInterval& region,
+                           const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Batch of box queries executed under one scheduling pass — the
   /// query-scheduling experiment path (E7).
   Result<std::vector<MddArray>> ReadRegions(
-      const std::vector<std::pair<ObjectId, MdInterval>>& queries)
-      EXCLUDES(db_mu_);
+      const std::vector<std::pair<ObjectId, MdInterval>>& queries,
+      const QueryContext& ctx = {}) EXCLUDES(db_mu_);
 
   /// Membership query: whether some (universal=false) or every
   /// (universal=true) cell of `region` satisfies `pred`. Decided from
@@ -277,35 +288,8 @@ class HeavenDb {
   /// semantics the rasql fallback path would see.
   Result<bool> EvaluateQuantifier(ObjectId object_id,
                                   const MdInterval& region,
-                                  const CellPredicate& pred, bool universal)
-      EXCLUDES(db_mu_);
-
-  // ---- QoS-aware query entry points ------------------------------------
-  //
-  // Every reader also exists with a leading QueryContext carrying the QoS
-  // class, a deadline on the tape clock and a cancellation token. The
-  // context rides the whole read path — admission, scheduling, the tape
-  // transfer loop, decode and scatter — and is checked cooperatively at
-  // each stage boundary. The plain overloads above delegate here with a
-  // default (unconstrained) context, which adds no sim time, tickers or
-  // trace spans.
-
-  Result<MddArray> ReadRegion(const QueryContext& ctx, ObjectId object_id,
-                              const MdInterval& region) EXCLUDES(db_mu_);
-  Result<MddArray> ReadObject(const QueryContext& ctx, ObjectId object_id)
-      EXCLUDES(db_mu_);
-  Result<MddArray> ReadFrame(const QueryContext& ctx, ObjectId object_id,
-                             const ObjectFrame& frame) EXCLUDES(db_mu_);
-  Result<double> Aggregate(const QueryContext& ctx, ObjectId object_id,
-                           Condenser condenser, const MdInterval& region)
-      EXCLUDES(db_mu_);
-  Result<std::vector<MddArray>> ReadRegions(
-      const QueryContext& ctx,
-      const std::vector<std::pair<ObjectId, MdInterval>>& queries)
-      EXCLUDES(db_mu_);
-  Result<bool> EvaluateQuantifier(const QueryContext& ctx, ObjectId object_id,
-                                  const MdInterval& region,
-                                  const CellPredicate& pred, bool universal)
+                                  const CellPredicate& pred, bool universal,
+                                  const QueryContext& ctx = {})
       EXCLUDES(db_mu_);
 
   // ---- Introspection ---------------------------------------------------
@@ -403,9 +387,9 @@ class HeavenDb {
   void PublishSnapshot(const std::vector<ObjectId>& touched)
       REQUIRES(db_mu_);
 
-  /// The registry serialized for persistence: entries sorted by id, the
-  /// same byte image the pre-snapshot std::map registry produced.
-  std::string SerializeRegistryLocked() const REQUIRES(db_mu_);
+  /// The registry as its catalog section: entries sorted by id, the same
+  /// byte image the pre-snapshot std::map registry produced.
+  CatalogDelta RegistrySectionLocked() const REQUIRES(db_mu_);
 
   /// Synchronous export implementation shared by the client path and TCT.
   /// On failure every in-memory registry entry the attempt added is rolled
@@ -444,35 +428,81 @@ class HeavenDb {
   /// synchronous export path re-enters db_mu_ — see RecursiveSharedMutex).
   Status RunMigrationPolicy() REQUIRES(db_mu_);
 
-  /// Snapshot-parameterized query bodies. Public readers pin a snapshot
-  /// and delegate here through ReadWithSnapshotRetry; the export overview
-  /// path calls them directly with a snapshot acquired under exclusive
-  /// db_mu_ (which at a mutator's start is identical to the live state).
-  Result<MddArray> ReadRegionAtSnapshot(const DbSnapshot& snap,
-                                        const QueryContext& ctx,
-                                        ObjectId object_id,
-                                        const MdInterval& region);
-  Result<MddArray> ReadFrameAtSnapshot(const DbSnapshot& snap,
-                                       const QueryContext& ctx,
-                                       ObjectId object_id,
-                                       const ObjectFrame& frame);
-  Result<std::vector<MddArray>> ReadRegionsAtSnapshot(
-      const DbSnapshot& snap, const QueryContext& ctx,
-      const std::vector<std::pair<ObjectId, MdInterval>>& queries);
-  Result<bool> EvaluateQuantifierAtSnapshot(const DbSnapshot& snap,
-                                            const QueryContext& ctx,
-                                            ObjectId object_id,
-                                            const MdInterval& region,
-                                            const CellPredicate& pred,
-                                            bool universal);
+  /// One piece of a read: the cells of `box` in one object, or of the
+  /// object's whole domain when `box` is null. A framed piece reads only
+  /// the cells inside `frame`, and `box` is the frame's bounding box. The
+  /// caller keeps `box` and `frame` alive for the read.
+  struct ReadPiece {
+    ObjectId object_id = 0;
+    const MdInterval* box = nullptr;
+    const ObjectFrame* frame = nullptr;
+  };
 
-  /// Aggregate body (precomputed lookup, region read, condense, catalog
-  /// insert) minus profiling and admission, which the public entry points
-  /// own — the inner region read must not be charged to the token bucket
-  /// a second time.
-  Result<double> AggregateImpl(const QueryContext& ctx, ObjectId object_id,
-                               Condenser condenser, const MdInterval& region)
-      EXCLUDES(db_mu_);
+  /// Fetched super-tiles by id.
+  using SuperTiles = std::map<SuperTileId, std::shared_ptr<const SuperTile>>;
+
+  /// A read resolved against a snapshot (see Plan): per piece the object,
+  /// the result region and the tiles to materialize, plus every tertiary
+  /// super-tile any piece needs, deduplicated in first-seen order (the
+  /// order ScheduleRequests receives them in).
+  struct ReadPlan {
+    struct Piece {
+      std::shared_ptr<const SnapshotObject> object;
+      /// The caller's box, or the domain `object` owns.
+      const MdInterval* region = nullptr;
+      const ObjectFrame* frame = nullptr;
+      std::vector<TileDescriptor> tiles;
+    };
+    std::vector<Piece> pieces;
+    std::vector<SuperTileId> supertiles;
+    std::unordered_set<SuperTileId> seen;
+
+    /// Adds the super-tiles of the tertiary `tiles` that no earlier piece
+    /// needs.
+    void AddSuperTiles(const std::vector<TileDescriptor>& tiles);
+  };
+
+  /// Runs one client query: its profile scope `label`, admission, its
+  /// `span`, then `read(snapshot, &span)` against a pinned snapshot (see
+  /// ReadWithSnapshotRetry), then NoteQueryOutcome. A value `served`
+  /// returns answers the query after admission without pinning a snapshot
+  /// (precomputed aggregates); the default serves nothing.
+  struct NotServed {
+    std::nullopt_t operator()() const { return std::nullopt; }
+  };
+  template <typename Read, typename Served = NotServed>
+  auto RunQuery(const char* label, const char* span, const QueryContext& ctx,
+                Read&& read, Served&& served = {})
+      -> decltype(read(std::declval<const DbSnapshot&>(),
+                       std::declval<ScopedSpan*>()));
+
+  /// Resolves `pieces` against `snap`. Every piece's object and domain is
+  /// checked before any tile is looked up, so one bad piece costs a batch
+  /// no tape time. Then per piece: tile lookup, frame clipping, index
+  /// pruning, and the super-tile dedup of ReadPlan::AddSuperTiles.
+  Result<ReadPlan> Plan(const DbSnapshot& snap,
+                        std::span<const ReadPiece> pieces);
+
+  /// Reads `pieces` through one plan: Plan, one FetchSuperTiles for the
+  /// whole plan, then per piece materialize, scatter and RecordQuery. A
+  /// single read records on `span` and is timed from its start. With
+  /// `span` null (a batch) each piece opens its own query.read_region span
+  /// and is timed from the end of the shared fetch.
+  Result<std::vector<MddArray>> ExecuteRead(const DbSnapshot& snap,
+                                            const QueryContext& ctx,
+                                            std::span<const ReadPiece> pieces,
+                                            ScopedSpan* span);
+  /// ExecuteRead of one piece, recorded on `span`; with `span` null on a
+  /// query.read_region span of its own (an aggregate's region read, the
+  /// export overview).
+  Result<MddArray> ReadOne(const DbSnapshot& snap, const QueryContext& ctx,
+                           const ReadPiece& piece, ScopedSpan* span = nullptr);
+
+  /// Records one answered client query: Ticker::kQueriesExecuted and the
+  /// query-seconds histogram since `client_before`; for an array answer
+  /// also the cells returned, the query-bytes histogram and `span`'s bytes.
+  void RecordQuery(double client_before, const MddArray* result = nullptr,
+                   uint64_t cells = 0, ScopedSpan* span = nullptr);
 
   /// Charges `ctx` to its class token bucket (when a controller exists),
   /// advances the client clock by any virtual queue wait, and runs the
@@ -514,29 +544,21 @@ class HeavenDb {
   void PruneTilesWithIndex(const DbSnapshot& snap, const MdInterval& region,
                            std::vector<TileDescriptor>* needed);
 
-  /// Reads the tiles intersecting `region`, from disk or tape, returning
-  /// (descriptor, tile data) pairs. Core of every query path.
-  Status CollectTiles(const DbSnapshot& snap, const QueryContext& ctx,
-                      ObjectId object_id, const MdInterval& region,
-                      std::vector<std::pair<TileDescriptor, Tile>>* out);
-
-  /// Materializes `needed` tiles from disk blobs or the supplied
+  /// Materializes the piece's tiles from disk blobs or the supplied
   /// super-tiles (every tertiary tile's super-tile must be present),
-  /// charging the client disk cost. Shared by CollectTiles and the batch
-  /// query path, which fetches super-tiles once for all queries.
-  Status MaterializeTiles(
-      const ObjectDescriptor& object, const QueryContext& ctx,
-      const std::vector<TileDescriptor>& needed,
-      const std::map<SuperTileId, std::shared_ptr<const SuperTile>>&
-          supertiles,
-      std::vector<std::pair<TileDescriptor, Tile>>* out);
+  /// charging the client disk cost once for the piece.
+  Status MaterializeTiles(const ReadPlan::Piece& piece,
+                          const QueryContext& ctx,
+                          const SuperTiles& supertiles,
+                          std::vector<std::pair<TileDescriptor, Tile>>* out);
 
-  /// Copies each collected tile's overlap with `region` into `result`.
-  /// Destination regions are disjoint (tiles partition the object), so the
-  /// copies fan out on the pool when one is configured.
-  Status ScatterTiles(const QueryContext& ctx,
+  /// Copies each materialized tile's cells inside the piece (its box, or
+  /// its frame's pieces of the tile) into `result`. Destination regions are
+  /// disjoint (tiles partition the object), so the copies fan out on the
+  /// pool when one is configured.
+  Status ScatterTiles(const QueryContext& ctx, const ReadPlan::Piece& piece,
                       const std::vector<std::pair<TileDescriptor, Tile>>& tiles,
-                      const MdInterval& region, MddArray* result);
+                      MddArray* result);
 
   /// Single-flight fetch coalescing: at most one tape fetch per super-tile
   /// is in flight at a time. A miss registers a promise here (the leader);
@@ -556,47 +578,34 @@ class HeavenDb {
   /// Deadline pre-admission, the in-flight budget and cooperative
   /// cancellation checkpoints all live here, gated on `ctx` and the
   /// controller so the unconstrained path is exactly legacy.
-  Status FetchSuperTiles(
-      const DbSnapshot& snap, const QueryContext& ctx,
-      const std::vector<SuperTileId>& ids,
-      std::map<SuperTileId, std::shared_ptr<const SuperTile>>* out);
+  Status FetchSuperTiles(const DbSnapshot& snap, const QueryContext& ctx,
+                         const std::vector<SuperTileId>& ids,
+                         SuperTiles* out);
 
   /// Counts a cache hit on a prefetched super-tile (prefetch usefulness).
   void NotePrefetchHit(SuperTileId id) EXCLUDES(prefetch_mu_);
 
-  /// Fails every single-flight promise this fetch call registered —
-  /// coalesced waiters must never block forever on an abandoned leader.
-  void FailOwnedFetches(
+  /// Settles every single-flight promise this fetch call registered, on
+  /// every path: coalesced waiters must never block forever on a leader.
+  /// Promises whose container decoded (`decoded[i]` for `requests[i]`) get
+  /// the super-tile, also when the call failed: the work is done and
+  /// cached, and a cancelled query must not waste it for its waiters. The
+  /// rest get `status`.
+  void SettleOwnedFetches(
       std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-      const Status& status) EXCLUDES(fetch_mu_);
+      const Status& status, const std::vector<SuperTileRequest>& requests = {},
+      const std::vector<std::shared_ptr<const SuperTile>>& decoded = {})
+      EXCLUDES(fetch_mu_);
 
-  /// Error epilogue of a partially completed fetch batch: promises whose
-  /// container already decoded are fulfilled with the super-tile (the work
-  /// is done and cached — a cancelled query must not waste it for
-  /// coalesced waiters), the rest fail with `status`.
-  void SettlePartialFetches(
-      std::map<SuperTileId, std::shared_ptr<InflightFetch>>* owned,
-      const std::vector<SuperTileRequest>& requests,
-      const std::vector<std::shared_ptr<const SuperTile>>& decoded,
-      const Status& status) EXCLUDES(fetch_mu_);
-
-  /// Decode + cache admission of one transferred container (see
-  /// FetchSuperTiles); shared by the serial path (which runs it inline
-  /// under shared db_mu_) and the pool path (DecodeAndAdmitTask). The
-  /// cancellation checkpoint runs after cache admission, so partial work
+  /// Cache admission of one decoded container (see FetchSuperTiles): the
+  /// cache insert, the supertile.read tickers and the fetch histogram. It
+  /// runs on the fetching thread in schedule order for any num_threads.
+  /// The cancellation checkpoint runs after admission, so partial work
   /// survives for the rerun.
-  Status DecodeAndAdmit(const SuperTileRequest& request,
-                        const QueryContext& ctx, std::string container,
+  Status AdmitSuperTile(const SuperTileRequest& request,
+                        const QueryContext& ctx, Result<SuperTile> decoded,
                         double fetch_seconds,
                         std::shared_ptr<const SuperTile>* slot);
-
-  /// Pool-task entry around DecodeAndAdmit. Pool tasks must never run
-  /// under db_mu_: the submitting thread holds it while joining the
-  /// futures, so a task acquiring it would deadlock the pipeline.
-  Status DecodeAndAdmitTask(SuperTileRequest request, QueryContext ctx,
-                            std::string container, double fetch_seconds,
-                            std::shared_ptr<const SuperTile>* slot)
-      EXCLUDES(db_mu_);
 
   /// Reads one container with bounded retry and verifies it against
   /// `crc32c` (when non-zero), re-fetching exactly once on a mismatch. A
@@ -647,8 +656,8 @@ class HeavenDb {
   /// under tct_mu_ so the journal and the queue stay consistent.
   std::unique_ptr<ExportJournal> journal_;  // analyze: unguarded(Open-only)
   /// CPU worker pool (null when options_.num_threads resolves to 1). Pool
-  /// tasks never acquire db_mu_: they touch only the cache, statistics and
-  /// trace collector (each with its own lock) plus disjoint output slots.
+  /// tasks never acquire db_mu_: they touch only the trace collector (with
+  /// its own lock) plus disjoint output slots.
   std::unique_ptr<ThreadPool> pool_;  // analyze: unguarded(fixed at Open)
 
   /// Top-level mutator lock. Mutators (insert, export, update, delete,

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -275,6 +277,81 @@ TEST_F(HeavenDbTest, ReadRegionsBatchesSuperTileFetches) {
     ASSERT_TRUE(expected.ok());
     EXPECT_EQ((*results)[i], *expected) << i;
   }
+
+  // A larger batch of overlapping boxes: each distinct super-tile any box
+  // needs is fetched exactly once.
+  const MdInterval big_domain({0, 0}, {159, 159});
+  ObjectId big = Insert("b", big_domain);
+  ASSERT_TRUE(db_->ExportObject(big).ok());
+  std::vector<std::pair<ObjectId, MdInterval>> batch;
+  for (int64_t i = 0; i < 12; ++i) {
+    batch.push_back({big, MdInterval({i * 10, 150 - i * 12},
+                                     {i * 10 + 39, 159 - i * 10})});
+  }
+  const std::vector<TileDescriptor> tiles =
+      db_->engine()->catalog()->ListTiles(big);
+  std::set<SuperTileId> distinct;
+  size_t per_box_sum = 0;  // super-tiles needed, counted once per box
+  for (const auto& [object_id, box] : batch) {
+    std::set<SuperTileId> needed;
+    for (const TileDescriptor& tile : tiles) {
+      if (tile.domain.Intersection(box).has_value()) {
+        needed.insert(tile.super_tile);
+      }
+    }
+    per_box_sum += needed.size();
+    distinct.insert(needed.begin(), needed.end());
+  }
+  ASSERT_GT(distinct.size(), 2u);
+  ASSERT_GT(per_box_sum, distinct.size()) << "the boxes must share super-tiles";
+  const uint64_t reads_before = db_->stats()->Get(Ticker::kSuperTilesRead);
+  auto batch_results = db_->ReadRegions(batch);
+  ASSERT_TRUE(batch_results.ok()) << batch_results.status().ToString();
+  EXPECT_EQ(db_->stats()->Get(Ticker::kSuperTilesRead) - reads_before,
+            distinct.size());
+  MddArray big_full = Ramp(big_domain);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto expected = Trim(big_full, batch[i].second);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ((*batch_results)[i], *expected) << i;
+  }
+}
+
+TEST_F(HeavenDbTest, ReadRegionsRejectsBadBoxBeforeAnyFetch) {
+  ObjectId id = Insert("a", MdInterval({0, 0}, {39, 39}));
+  ASSERT_TRUE(db_->ExportObject(id).ok());
+  const double tape_before = db_->TapeSeconds();
+  const uint64_t reads_before = db_->stats()->Get(Ticker::kSuperTilesRead);
+  auto results = db_->ReadRegions({{id, MdInterval({0, 0}, {19, 19})},
+                                   {id, MdInterval({30, 30}, {45, 45})}});
+  ASSERT_FALSE(results.ok());
+  EXPECT_EQ(results.status().code(), StatusCode::kOutOfRange);
+  // The bad box is caught by the plan, before any super-tile transfer.
+  EXPECT_EQ(db_->TapeSeconds(), tape_before);
+  EXPECT_EQ(db_->stats()->Get(Ticker::kSuperTilesRead), reads_before);
+}
+
+TEST_F(HeavenDbTest, QuerySecondsRecordedOncePerClientQuery) {
+  ObjectId id = Insert("a", MdInterval({0, 0}, {39, 39}));
+  ASSERT_TRUE(db_->ExportObject(id).ok());
+  const MdInterval box({5, 5}, {24, 24});
+  ASSERT_TRUE(db_->ReadRegion(id, box).ok());
+  ASSERT_TRUE(
+      db_->ReadRegions({{id, box}, {id, MdInterval({0, 0}, {9, 9})}}).ok());
+  auto frame = ObjectFrame::FromBoxes(
+      {MdInterval({0, 0}, {9, 9}), MdInterval({20, 20}, {29, 29})});
+  ASSERT_TRUE(frame.ok());
+  ASSERT_TRUE(db_->ReadFrame(id, *frame).ok());
+  CellPredicate pred;
+  pred.cmp = CompareOp::kGt;
+  pred.value = 100.0;
+  ASSERT_TRUE(db_->EvaluateQuantifier(id, box, pred, false).ok());
+  ASSERT_TRUE(db_->Aggregate(id, Condenser::kSum, box).ok());  // miss
+  ASSERT_TRUE(db_->Aggregate(id, Condenser::kSum, box).ok());  // hit
+  EXPECT_EQ(db_->stats()->Get(Ticker::kPrecomputedHits), 1u);
+  EXPECT_EQ(db_->stats()->Get(Ticker::kQueriesExecuted), 7u);
+  EXPECT_EQ(db_->stats()->histogram(HistogramKind::kQuerySeconds).count(),
+            db_->stats()->Get(Ticker::kQueriesExecuted));
 }
 
 TEST_F(HeavenDbTest, PrefetchPopulatesCache) {
@@ -346,6 +423,90 @@ TEST_F(HeavenDbTest, FrameReadTouchesFewerSuperTilesThanHull) {
   EXPECT_LT(frame_sts, hull_sts);
 }
 
+// What one read sequence leaves behind: its results and the clocks and
+// counters it ends with.
+struct ReadOutcome {
+  std::vector<MddArray> results;
+  double tape_seconds = 0.0;
+  double client_seconds = 0.0;
+  std::vector<uint64_t> tickers;
+};
+
+// Runs `reads` against a fresh database with `num_threads` workers holding
+// one exported 160x160 float object.
+ReadOutcome RunReads(size_t num_threads, uint64_t cache_bytes,
+                     const std::function<void(HeavenDb*, ObjectId,
+                                              std::vector<MddArray>*)>& reads) {
+  MemEnv env;
+  HeavenOptions options;
+  options.library.profile = MidTapeProfile();
+  options.library.num_drives = 2;
+  options.library.num_media = 8;
+  options.disk_tile_bytes = 2048;
+  options.supertile_bytes = 16 << 10;
+  options.compression = Compression::kDeltaRle;
+  options.cache.capacity_bytes = cache_bytes;
+  options.num_threads = num_threads;
+  auto db = HeavenDb::Open(&env, "/db", options);
+  HEAVEN_CHECK(db.ok()) << db.status().ToString();
+  auto coll = (*db)->CreateCollection("c");
+  HEAVEN_CHECK(coll.ok());
+  auto id =
+      (*db)->InsertObject(*coll, "a", Ramp(MdInterval({0, 0}, {159, 159})));
+  HEAVEN_CHECK(id.ok());
+  HEAVEN_CHECK((*db)->ExportObject(*id).ok());
+  ReadOutcome outcome;
+  reads(db->get(), *id, &outcome.results);
+  outcome.tape_seconds = (*db)->TapeSeconds();
+  outcome.client_seconds = (*db)->ClientSeconds();
+  outcome.tickers = (*db)->stats()->Snapshot();
+  return outcome;
+}
+
+TEST(HeavenDbPoolTest, FrameReadWithPoolMatchesSerial) {
+  auto frame = ObjectFrame::FromBoxes({MdInterval({0, 0}, {30, 70}),
+                                       MdInterval({20, 60}, {120, 90}),
+                                       MdInterval({100, 100}, {159, 159})});
+  ASSERT_TRUE(frame.ok());
+  auto reads = [&](HeavenDb* db, ObjectId id, std::vector<MddArray>* out) {
+    auto read = db->ReadFrame(id, *frame);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    out->push_back(std::move(read).value());
+  };
+  const ReadOutcome serial = RunReads(1, 1ull << 30, reads);
+  const ReadOutcome pooled = RunReads(4, 1ull << 30, reads);
+  ASSERT_EQ(serial.results.size(), 1u);
+  ASSERT_EQ(pooled.results.size(), 1u);
+  EXPECT_EQ(serial.results[0], pooled.results[0]);
+  EXPECT_EQ(serial.tape_seconds, pooled.tape_seconds);
+  EXPECT_EQ(serial.client_seconds, pooled.client_seconds);
+  EXPECT_EQ(serial.tickers, pooled.tickers);
+}
+
+// Under eviction the cache's admission order decides later hits and
+// misses, so it must not depend on which worker finishes decoding first.
+TEST(HeavenDbPoolTest, EvictingReadSequenceIsIndependentOfThreads) {
+  auto reads = [](HeavenDb* db, ObjectId id, std::vector<MddArray>* out) {
+    for (int64_t i = 0; i < 48; ++i) {
+      const int64_t lo = (i * 37) % 100;
+      const int64_t hi = (i * 53) % 80;
+      auto read = db->ReadRegion(
+          id, MdInterval({lo, hi}, {lo + 59, hi + 79}));
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      out->push_back(std::move(read).value());
+    }
+  };
+  // A few super-tiles' worth of cache against a working set of the whole
+  // object.
+  const ReadOutcome serial = RunReads(1, 48 << 10, reads);
+  const ReadOutcome pooled = RunReads(4, 48 << 10, reads);
+  ASSERT_GT(serial.tickers[static_cast<size_t>(Ticker::kCacheEvictions)], 0u);
+  EXPECT_EQ(serial.results, pooled.results);
+  EXPECT_EQ(serial.tape_seconds, pooled.tape_seconds);
+  EXPECT_EQ(serial.client_seconds, pooled.client_seconds);
+  EXPECT_EQ(serial.tickers[static_cast<size_t>(Ticker::kSuperTilesRead)],
+            pooled.tickers[static_cast<size_t>(Ticker::kSuperTilesRead)]);
+}
 
 TEST_F(HeavenDbTest, UpdateRegionOnDiskObject) {
   ObjectId id = Insert("a", MdInterval({0, 0}, {19, 19}));
